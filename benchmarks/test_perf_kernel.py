@@ -1,15 +1,18 @@
 """Events-per-second microbenchmark of the kernel + switch hot path.
 
-Measures the two rates every campaign minute ultimately hangs on — raw
-kernel callback throughput and packets served through the output-queued
-switch (stochastic overhead draws included, i.e. the real hot path) — and
-writes them to ``BENCH_kernel.json`` in the artifact directory so CI runs
-can be compared over time.
+Measures the rates every campaign minute ultimately hangs on — raw kernel
+callback throughput, packets served through the output-queued switch
+(stochastic overhead draws included, i.e. the real hot path), and MPI
+messages through the whole stack with the kernel events each one costs —
+and writes them to ``BENCH_kernel.json`` in the artifact directory so CI
+runs can be compared over time.
 """
 
 import json
 import time
 
+from repro.cluster import Machine, PerSocketPlacement, small_test_config
+from repro.mpi import MPIWorld
 from repro.network import OutputQueuedSwitch
 from repro.network.packet import Packet
 from repro.network.service_time import default_port_overhead
@@ -19,6 +22,7 @@ KERNEL_EVENTS = 200_000
 SWITCH_PACKETS = 100_000
 PORTS = 18
 FLOWS = 64
+MPI_ROUNDS = 2_000
 
 
 def _time(fn):
@@ -64,9 +68,44 @@ def _switch_rate():
     return served, served / elapsed, stats
 
 
+def _mpi_rate():
+    """Ring exchange of small messages: both neighbours, every round.
+
+    One rank per socket puts half of each rank's messages on its own node
+    (the shared-memory path) and half across the fabric.
+    """
+    machine = Machine(small_test_config())
+    world = MPIWorld.create(machine, PerSocketPlacement(1), name="ring")
+
+    def ring(ctx):
+        comm, size = ctx.comm, ctx.size
+        right, left = (ctx.rank + 1) % size, (ctx.rank - 1) % size
+        for step in range(MPI_ROUNDS):
+            yield from comm.waitall(
+                [
+                    comm.irecv(left, tag=step),
+                    comm.irecv(right, tag=step),
+                    comm.isend(right, 1024, tag=step),
+                    comm.isend(left, 1024, tag=step),
+                ]
+            )
+
+    job = world.launch(ring)
+    _, elapsed = _time(lambda: machine.sim.run_until_event(job.done))
+    counters = machine.sim.counters()
+    messages = int(counters["network.messages"])
+    return {
+        "messages": messages,
+        "events": int(counters["kernel.events"]),
+        "events_per_message": round(counters["kernel.events"] / messages, 3),
+        "messages_per_second": round(messages / elapsed),
+    }
+
+
 def test_perf_kernel_and_switch_events_per_second(artifact_dir):
     kernel_events, kernel_rate = _kernel_rate()
     switch_served, switch_rate, stats = _switch_rate()
+    mpi = _mpi_rate()
 
     assert kernel_events == KERNEL_EVENTS + 1
     assert switch_served == SWITCH_PACKETS
@@ -87,11 +126,14 @@ def test_perf_kernel_and_switch_events_per_second(artifact_dir):
             "flows": FLOWS,
             "stats": stats,
         },
+        "mpi": mpi,
     }
     path = artifact_dir / "BENCH_kernel.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"\nkernel {payload['kernel']['events_per_second']:,} events/s · "
-        f"switch {payload['switch']['packets_per_second']:,} packets/s\n"
+        f"switch {payload['switch']['packets_per_second']:,} packets/s · "
+        f"mpi {mpi['messages_per_second']:,} messages/s at "
+        f"{mpi['events_per_message']} events/message\n"
         f"[artifact saved to {path}]"
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -293,6 +294,41 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     command("calibrate", "idle-switch service estimate (µ, Var(S))")
+
+    # Not built on `common`: here --seed and --cache name the sample seed
+    # and the cache file.  The experiment settings (--profile, --engine,
+    # the root --seed, fabric flags) go before `cache`.
+    cache_cmd = sub.add_parser("cache", help="check a result cache")
+    cache_verbs = cache_cmd.add_subparsers(dest="cache_command", required=True)
+    verify = cache_verbs.add_parser(
+        "verify",
+        help="recompute a seeded sample of a cache file's products and exit "
+        "1 if any differs from the cached value",
+    )
+    verify.add_argument(
+        "--sample",
+        type=int,
+        default=6,
+        metavar="N",
+        help="products to recompute, drawn from each product kind in turn "
+        "(default 6, enough for all six kinds; 0 = every product)",
+    )
+    verify.add_argument(
+        "--seed",
+        dest="sample_seed",
+        type=int,
+        default=0,
+        metavar="S",
+        help="seed of the sample (default 0)",
+    )
+    verify.add_argument(
+        "--cache",
+        dest="cache_file",
+        default="results/paper_cache.json",
+        metavar="PATH",
+        help="monolithic JSON cache file to check "
+        "(default results/paper_cache.json)",
+    )
     campaign_cmd = command(
         "campaign", "run every pending experiment of the evaluation"
     )
@@ -629,6 +665,53 @@ def _fig9(pipeline: ReproductionPipeline) -> str:
     return render_fig9(summaries)
 
 
+def _cache_verify(args: argparse.Namespace) -> int:
+    """`repro cache verify`: recompute sampled products of a cache file."""
+    from .core.experiments.pipeline import stratified_sample
+
+    path = Path(args.cache_file)
+    if not path.is_file():
+        print(f"repro: no cache file at {path}", file=sys.stderr)
+        return 2
+    # In memory only: the file's products seed the cache, nothing is written.
+    pipeline = ReproductionPipeline(
+        settings=PipelineSettings(
+            profile=args.profile, seed=args.seed, engine=args.engine
+        ),
+        machine_config=_machine_config(args),
+        legacy_cache=path,
+    )
+    cached = [raw for raw in pipeline.raw_product_keys() if pipeline.has_product(raw)]
+    if not cached:
+        print(
+            f"repro: {path} holds none of this evaluation's products "
+            "(check --profile/--engine/--seed and the fabric flags before `cache`)",
+            file=sys.stderr,
+        )
+        return 2
+    sample = stratified_sample(cached, args.sample, args.sample_seed)
+    mismatches = []
+    for raw in sample:
+        start = time.perf_counter()
+        matches = pipeline.recompute_matches(raw)
+        print(
+            f"{'ok' if matches else 'MISMATCH':8s} {raw} "
+            f"({time.perf_counter() - start:.1f}s)",
+            flush=True,
+        )
+        if not matches:
+            mismatches.append(raw)
+    kinds = sorted({raw.split("/")[0] for raw in sample})
+    print(
+        f"verified {len(sample)} of {len(cached)} cached products "
+        f"({len(kinds)} kinds: {', '.join(kinds)}) against {path}: "
+        f"{len(mismatches)} mismatch(es)"
+    )
+    for raw in mismatches:
+        print(f"  mismatch: {raw}")
+    return 1 if mismatches else 0
+
+
 def _registry_main(args: argparse.Namespace, pipeline, human) -> int:
     """The `repro registry list|publish|promote|rollback` verbs."""
     from .errors import ArtifactError, RegistryError
@@ -855,7 +938,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # neither create the cache directory nor trigger the legacy-cache
     # migration (`top` only reads the live file's path).
     cache_free = (
-        args.command in ("engines", "top")
+        args.command in ("engines", "top", "cache")
         or (args.command in ("predict", "serve") and getattr(args, "artifact", None))
         or (args.command == "serve" and getattr(args, "registry", None))
         or (
@@ -867,6 +950,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # With --json, stdout carries only the JSON document; human summaries
     # join the progress lines on stderr.
     human = sys.stderr if args.json else sys.stdout
+
+    if args.command == "cache":
+        return _cache_verify(args)
 
     if args.command == "engines":
         from .analysis import engine_catalog, render_engine_catalog
@@ -933,9 +1019,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.cost_from
             else CostModel.from_settings(pipeline.settings)
         )
-        raw_keys = [
-            key.rsplit(":", 1)[-1] for key in pipeline.product_keys()
-        ]
+        raw_keys = pipeline.raw_product_keys()
         pending = [raw for raw in raw_keys if not pipeline.has_product(raw)]
         budget = args.measurement_budget
         by_kind: dict = {}

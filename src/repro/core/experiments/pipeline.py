@@ -27,6 +27,7 @@ migrates automatically on first load.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -60,6 +61,7 @@ __all__ = [
     "ReproductionPipeline",
     "ExperimentDescriptor",
     "run_experiment",
+    "stratified_sample",
 ]
 
 #: Name of the machine-readable failure report written into the cache
@@ -136,6 +138,34 @@ class ExperimentDescriptor:
     calibration: Optional[dict] = None
     baseline: Optional[float] = None
     label: Optional[str] = None
+
+
+def stratified_sample(raws: Sequence[str], size: int, seed: int) -> List[str]:
+    """A seeded sample of product keys that visits every kind in turn.
+
+    Keys are grouped by kind (the part before the first ``/``); each group
+    and the order of the kinds are shuffled by ``random.Random(seed)``, and
+    the sample draws one key from each kind in that order, round after
+    round.  A sample at least as large as the number of kinds therefore
+    covers every kind.  ``size <= 0`` or a size beyond the key count takes
+    every key.
+    """
+    rng = random.Random(seed)
+    groups: Dict[str, List[str]] = {}
+    for raw in raws:
+        groups.setdefault(raw.split("/")[0], []).append(raw)
+    kinds = sorted(groups)
+    rng.shuffle(kinds)
+    for kind in kinds:
+        rng.shuffle(groups[kind])
+    if size <= 0:
+        size = len(raws)
+    sample: List[str] = []
+    for round_ in range(max(map(len, groups.values()), default=0)):
+        for kind in kinds:
+            if len(sample) < size and round_ < len(groups[kind]):
+                sample.append(groups[kind][round_])
+    return sample
 
 
 def run_experiment(descriptor: ExperimentDescriptor) -> object:
@@ -434,6 +464,10 @@ class ReproductionPipeline:
 
     def product_keys(self) -> List[str]:
         """Every cache key of the full evaluation, in campaign order."""
+        return [self._key(key) for key in self.raw_product_keys()]
+
+    def raw_product_keys(self) -> List[str]:
+        """:meth:`product_keys` before engine/scenario qualification."""
         keys = ["calibration", "impact/idle"]
         for name in self.app_names:
             keys.append(f"impact/{name}")
@@ -445,7 +479,7 @@ class ReproductionPipeline:
             )
         for measured in self.app_names:
             keys.extend(f"pair/{measured}/{other}" for other in self.app_names)
-        return [self._key(key) for key in keys]
+        return keys
 
     def pending_keys(self) -> List[str]:
         """Products not yet present in the cache (what a resume would run)."""
@@ -461,6 +495,17 @@ class ReproductionPipeline:
         if key not in self._cache:
             raise ExperimentError(f"product {raw!r} is not in the cache")
         return self._cache[key]
+
+    def recompute_matches(self, raw: str) -> bool:
+        """Whether recomputing one cached product reproduces it exactly.
+
+        The fresh value is compared with the cached one as canonical JSON,
+        the form the cache stores, so a difference in any bit of a float
+        counts.  Nothing is written to the cache.
+        """
+        fresh = run_experiment(self.descriptor_for(raw))
+        cached = self.product(raw)
+        return json.dumps(fresh, sort_keys=True) == json.dumps(cached, sort_keys=True)
 
     def descriptor_for(self, raw: str) -> ExperimentDescriptor:
         """Build the descriptor of one raw product key — the planner seam.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
 
 from ..errors import MPIError
+from ..sim import SimEvent
 from .datatypes import ANY_SOURCE, ANY_TAG, Envelope
 from .request import Request
 
@@ -29,21 +30,23 @@ RENDEZVOUS_CONTROL_BYTES = 64
 class Comm:
     """One rank's communicator."""
 
-    __slots__ = ("world", "rank", "_collective_seq")
+    __slots__ = (
+        "world", "rank", "size", "sim", "_collective_seq",
+        "_node", "_flow", "_send_name", "_engine",
+    )
 
     def __init__(self, world: "MPIWorld", rank: int) -> None:
         self.world = world
         self.rank = rank
+        #: Number of ranks in the world.
+        self.size = world.size
+        self.sim = world.machine.sim
         self._collective_seq = 0
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the world."""
-        return self.world.size
-
-    @property
-    def sim(self):
-        return self.world.machine.sim
+        # Per-message constants, resolved once per rank.
+        self._node = world.node_of(rank)
+        self._flow = (world.name, rank)
+        self._send_name = f"rank{rank}.send"
+        self._engine = world.engine(rank)
 
     # ------------------------------------------------------------------
     # Point-to-point, nonblocking
@@ -59,28 +62,29 @@ class Comm:
         the data move — so the send cannot complete before the receiver has
         posted a matching receive (real MPI's large-message behaviour).
         """
-        self._check_rank(dest)
+        world = self.world
+        if not 0 <= dest < self.size or (
+            dest == self.rank and not world.allow_self_messages
+        ):
+            self._check_rank(dest)
         if tag < 0:
             raise MPIError(f"send tag must be non-negative, got {tag}")
-        world = self.world
         sim = self.sim
-        envelope = Envelope(
-            src=self.rank, dst=dest, tag=tag, nbytes=nbytes,
-            payload=payload, sent_at=sim.now,
-        )
-        request = Request(sim.event(f"rank{self.rank}.send"), "send")
-        engine = world.engine(dest)
+        envelope = Envelope(self.rank, dest, tag, nbytes, payload, sim._now)
+        event = SimEvent(sim, self._send_name)
+        request = Request(event, "send")
         threshold = world.eager_threshold
         if threshold is not None and nbytes > threshold:
             self._rendezvous_send(envelope, request)
             return request
         world.machine.network.send(
-            world.node_of(self.rank),
+            self._node,
             world.node_of(dest),
             nbytes,
-            on_delivered=lambda: engine.deliver(envelope),
-            on_sent=lambda: request.event.succeed(),
-            flow=(world.name, self.rank),
+            world.engine(dest).deliver,
+            event.succeed,
+            self._flow,
+            (envelope,),
         )
         return request
 
@@ -88,9 +92,9 @@ class Comm:
         """RTS → match → CTS → data (see :meth:`isend`)."""
         world = self.world
         network = world.machine.network
-        src_node = world.node_of(self.rank)
+        src_node = self._node
         dst_node = world.node_of(envelope.dst)
-        flow = (world.name, self.rank)
+        flow = self._flow
         engine = world.engine(envelope.dst)
 
         def on_match(recv_request: Request) -> None:
@@ -125,9 +129,12 @@ class Comm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive."""
-        if source != ANY_SOURCE:
+        if source != ANY_SOURCE and (
+            not 0 <= source < self.size
+            or (source == self.rank and not self.world.allow_self_messages)
+        ):
             self._check_rank(source)
-        return self.world.engine(self.rank).post(source, tag)
+        return self._engine.post(source, tag)
 
     # ------------------------------------------------------------------
     # Completion
@@ -257,8 +264,8 @@ class Comm:
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.world.size:
-            raise MPIError(f"rank {rank} out of range [0, {self.world.size})")
+        if not 0 <= rank < self.size:
+            raise MPIError(f"rank {rank} out of range [0, {self.size})")
         if rank == self.rank:
             # Self-messaging is legal MPI but almost always a bug in these
             # workloads; allow it (the network handles src==dst) but only

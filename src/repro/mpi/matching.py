@@ -11,29 +11,27 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Tuple
 
-from ..sim import Simulator
+from ..sim import SimEvent, Simulator
 from .datatypes import ANY_SOURCE, ANY_TAG, Envelope
 from .request import Request
 
 __all__ = ["MatchingEngine"]
 
 
-def _matches(want_source: int, want_tag: int, envelope: Envelope) -> bool:
-    if want_source != ANY_SOURCE and envelope.src != want_source:
-        return False
-    if want_tag != ANY_TAG and envelope.tag != want_tag:
-        return False
-    return True
-
-
 class MatchingEngine:
-    """Receive-matching state for one rank."""
+    """Receive-matching state for one rank.
 
-    __slots__ = ("sim", "rank", "_posted", "_unexpected")
+    A receive pattern ``(source, tag)`` matches an envelope when each field
+    is its wildcard or equal to the envelope's (the test is inlined in
+    :meth:`post` and :meth:`deliver`, the per-message hot path).
+    """
+
+    __slots__ = ("sim", "rank", "_recv_name", "_posted", "_unexpected")
 
     def __init__(self, sim: Simulator, rank: int) -> None:
         self.sim = sim
         self.rank = rank
+        self._recv_name = f"rank{rank}.recv"
         self._posted: Deque[Tuple[int, int, Request]] = deque()
         self._unexpected: Deque[Envelope] = deque()
 
@@ -53,9 +51,11 @@ class MatchingEngine:
         If an unexpected message already matches, the request completes
         immediately (at the current simulated time).
         """
-        request = Request(self.sim.event(f"rank{self.rank}.recv"), "recv")
+        request = Request(SimEvent(self.sim, self._recv_name), "recv")
         for index, envelope in enumerate(self._unexpected):
-            if _matches(source, tag, envelope):
+            if (source == ANY_SOURCE or envelope.src == source) and (
+                tag == ANY_TAG or envelope.tag == tag
+            ):
                 del self._unexpected[index]
                 self._complete_match(envelope, request)
                 return request
@@ -64,9 +64,13 @@ class MatchingEngine:
 
     def deliver(self, envelope: Envelope) -> None:
         """A message has fully arrived; match it or queue it."""
-        envelope.delivered_at = self.sim.now
+        envelope.delivered_at = self.sim._now
+        src = envelope.src
+        message_tag = envelope.tag
         for index, (source, tag, request) in enumerate(self._posted):
-            if _matches(source, tag, envelope):
+            if (source == ANY_SOURCE or source == src) and (
+                tag == ANY_TAG or tag == message_tag
+            ):
                 del self._posted[index]
                 self._complete_match(envelope, request)
                 return

@@ -21,14 +21,13 @@ class Request:
     ``yield from comm.wait(request)``.
     """
 
-    __slots__ = ("event", "kind", "status", "envelope")
+    __slots__ = ("event", "kind", "envelope")
 
     def __init__(self, event: "SimEvent", kind: str) -> None:
         if kind not in ("send", "recv"):
             raise ValueError(f"kind must be 'send' or 'recv', got {kind!r}")
         self.event = event
         self.kind = kind
-        self.status: Optional[Status] = None
         self.envelope: Optional[Envelope] = None
 
     @property
@@ -36,10 +35,15 @@ class Request:
         """Whether the operation has finished."""
         return self.event.triggered
 
+    @property
+    def status(self) -> Optional[Status]:
+        """Source, tag and size of a completed receive (``None`` before)."""
+        envelope = self.envelope
+        return None if envelope is None else Status.from_envelope(envelope)
+
     def _fulfill_recv(self, envelope: Envelope) -> None:
         """Internal: deliver a matched envelope to this receive request."""
         self.envelope = envelope
-        self.status = Status.from_envelope(envelope)
         self.event.succeed(envelope)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

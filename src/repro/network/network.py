@@ -10,9 +10,9 @@ messages bypass the network (shared-memory path).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a config <-> network import cycle
     from ..config import NetworkConfig
@@ -25,18 +25,36 @@ from .topology import SingleSwitchTopology, Topology
 
 __all__ = ["InterconnectNetwork"]
 
-DeliveredCallback = Callable[[], None]
+DeliveredCallback = Callable[..., None]
 SentCallback = Callable[[], None]
 
 
 class _PendingMessage:
     """Reassembly state for one in-flight message."""
 
-    __slots__ = ("remaining", "on_delivered")
+    __slots__ = ("remaining", "on_delivered", "delivered_args")
 
-    def __init__(self, remaining: int, on_delivered: DeliveredCallback) -> None:
+    def __init__(
+        self, remaining: int, on_delivered: DeliveredCallback, delivered_args: Tuple[Any, ...]
+    ) -> None:
         self.remaining = remaining
         self.on_delivered = on_delivered
+        self.delivered_args = delivered_args
+
+
+def _deliver_local(
+    on_sent: Optional[SentCallback],
+    on_delivered: DeliveredCallback,
+    delivered_args: Tuple[Any, ...],
+) -> None:
+    """Complete a shared-memory message: send completion, then delivery.
+
+    The two used to be adjacent heap entries at the same instant; one entry
+    running them back to back executes each exactly where it ran before.
+    """
+    if on_sent is not None:
+        on_sent()
+    on_delivered(*delivered_args)
 
 
 class InterconnectNetwork:
@@ -130,6 +148,9 @@ class InterconnectNetwork:
             self.switches[src_id].connect_uplink(dst_switch, link)
         self._message_ids = itertools.count()
         self._pending: Dict[int, _PendingMessage] = {}
+        # route_flow is a pure function of its arguments: resolve each
+        # (src, dst, flow) to its switch tuple once.
+        self._routes: Dict[Tuple[int, int, object], Tuple[Any, ...]] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         # Packet-conservation ledger (the fault model's bookkeeping).
@@ -271,11 +292,13 @@ class InterconnectNetwork:
         on_delivered: DeliveredCallback,
         on_sent: Optional[SentCallback] = None,
         flow: Optional[object] = None,
+        delivered_args: Tuple[Any, ...] = (),
     ) -> int:
         """Send ``nbytes`` from ``src_node`` to ``dst_node``.
 
         Args:
-            on_delivered: fires when the last packet reaches the destination.
+            on_delivered: ``on_delivered(*delivered_args)`` fires when the
+                last packet reaches the destination.
             on_sent: fires at local send completion (last packet serialized
                 by the source NIC) — the MPI layer completes isend here.
             flow: arbitration key for per-flow round-robin at switch output
@@ -293,10 +316,9 @@ class InterconnectNetwork:
 
         if src_node == dst_node:
             # Shared-memory path: no NIC, no fabric.
-            delay = self.config.local_latency + nbytes / self.config.local_bandwidth
-            if on_sent is not None:
-                self.sim.schedule(delay, on_sent)
-            self.sim.schedule(delay, on_delivered)
+            config = self.config
+            delay = config.local_latency + nbytes / config.local_bandwidth
+            self.sim.schedule(delay, _deliver_local, on_sent, on_delivered, delivered_args)
             return message_id
 
         # The flow key drives both ECMP path selection and per-flow
@@ -305,12 +327,16 @@ class InterconnectNetwork:
         packets = packetize(
             message_id, nbytes, self.config.mtu, src_node, dst_node, flow=flow_key
         )
-        route_ids = self.topology.route_flow(src_node, dst_node, flow_key)
-        route = tuple(self.switches[i] for i in route_ids)
+        route_key = (src_node, dst_node, flow_key)
+        route = self._routes.get(route_key)
+        if route is None:
+            route_ids = self.topology.route_flow(src_node, dst_node, flow_key)
+            route = self._routes[route_key] = tuple(self.switches[i] for i in route_ids)
         for packet in packets:
             packet.route = route
-            packet.hop = 0
-        self._pending[message_id] = _PendingMessage(len(packets), on_delivered)
+        self._pending[message_id] = _PendingMessage(
+            len(packets), on_delivered, delivered_args
+        )
 
         self.packets_offered += len(packets)
         nic = self.nics[src_node]
@@ -329,13 +355,13 @@ class InterconnectNetwork:
         self.packets_delivered += 1
         pending = self._pending.get(packet.message_id)
         if pending is None:
-            raise ConfigurationError(
+            raise SimulationError(
                 f"delivery for unknown message {packet.message_id}"
             )
         pending.remaining -= 1
         if pending.remaining == 0:
             del self._pending[packet.message_id]
-            pending.on_delivered()
+            pending.on_delivered(*pending.delivered_args)
 
     # ------------------------------------------------------------------
     # Fault recovery (NIC-layer reliable delivery)

@@ -85,8 +85,9 @@ class NIC:
                 self.sim.schedule(0.0, on_complete)
             return
         last_index = len(packets) - 1
+        now = self.sim.now
         for index, packet in enumerate(packets):
-            packet.injected_at = self.sim.now
+            packet.injected_at = now
             flow_queue = self._flows.get(packet.flow)
             if flow_queue is None:
                 self._flows[packet.flow] = flow_queue = deque()

@@ -98,21 +98,15 @@ def packetize(
     flow: Any = None,
 ) -> List[Packet]:
     """Split a message into MTU-sized packets (final packet takes the rest)."""
-    count = packet_count(nbytes, mtu)
-    packets: List[Packet] = []
-    remaining = nbytes
-    for seq in range(count):
-        size = min(mtu, remaining) if remaining > 0 else 0
-        remaining -= size
-        packets.append(
-            Packet(
-                message_id=message_id,
-                seq=seq,
-                last=(seq == count - 1),
-                size=size,
-                src_node=src_node,
-                dst_node=dst_node,
-                flow=flow,
-            )
-        )
+    if 0 <= nbytes <= mtu and mtu > 0:
+        # One packet (the common case).
+        return [Packet(message_id, 0, True, nbytes, src_node, dst_node, flow)]
+    last = packet_count(nbytes, mtu) - 1  # validates; >= 1 from here on
+    packets = [
+        Packet(message_id, seq, False, mtu, src_node, dst_node, flow)
+        for seq in range(last)
+    ]
+    packets.append(
+        Packet(message_id, last, True, nbytes - last * mtu, src_node, dst_node, flow)
+    )
     return packets

@@ -17,6 +17,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SimEvent", "AllOf", "AnyOf"]
 
+#: A waiter: called as ``callback(event)`` at the trigger instant.  An
+#: event's callback list may also hold :class:`AllOf` parents, which count
+#: the trigger at dispatch time instead (see :class:`AllOf`).
 Callback = Callable[["SimEvent"], None]
 
 
@@ -67,14 +70,18 @@ class SimEvent:
         """
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
+        sim = self.sim
         self._triggered = True
-        self._trigger_time = self.sim.now
+        self._trigger_time = sim._now
         self.value = value
         callbacks = self._callbacks
         self._callbacks = None  # break reference cycles, catch double fire
         if callbacks:
             for callback in callbacks:
-                self.sim.schedule(0.0, callback, self)
+                if isinstance(callback, AllOf):
+                    callback._count_down()
+                else:
+                    sim.schedule(0.0, callback, self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -87,6 +94,13 @@ class AllOf(SimEvent):
 
     Its value is the list of child values in the order the children were
     given (not trigger order).
+
+    A child's trigger is counted when its callbacks are dispatched — in its
+    :meth:`~SimEvent.succeed`, or here if it already fired — instead of
+    through a scheduled per-child callback that would only decrement the
+    count.  The child that brings the count to zero schedules the single
+    fire event, in the very heap slot its per-child callback would have
+    taken, so every callback still runs at the same ``(time, seq)`` rank.
     """
 
     __slots__ = ("_children", "_pending")
@@ -99,11 +113,19 @@ class AllOf(SimEvent):
             self.succeed([])
             return
         for child in self._children:
-            child.on_trigger(self._child_done)
+            if child._triggered:
+                self._count_down()
+            else:
+                assert child._callbacks is not None
+                child._callbacks.append(self)
 
-    def _child_done(self, _event: SimEvent) -> None:
+    def _count_down(self) -> None:
         self._pending -= 1
-        if self._pending == 0 and not self.triggered:
+        if self._pending == 0:
+            self.sim.schedule(0.0, self._fire)
+
+    def _fire(self) -> None:
+        if not self._triggered:
             self.succeed([child.value for child in self._children])
 
 

@@ -177,7 +177,7 @@ class Simulator:
         Raises:
             SimulationError: if ``delay`` is negative or NaN.
         """
-        if delay < 0.0 or math.isnan(delay):
+        if not delay >= 0.0:  # negative or NaN
             raise SimulationError(f"cannot schedule with delay {delay!r}")
         self._sequence += 1
         heapq.heappush(self._heap, (self._now + delay, self._sequence, fn, args))
@@ -310,7 +310,7 @@ class Simulator:
         self._running = True
         executed = 0
         try:
-            while not event.triggered:
+            while not event._triggered:
                 if not heap:
                     raise SimulationError(
                         f"simulation ran dry before event {event.name!r} triggered"

@@ -3,7 +3,7 @@
 A process is a Python generator.  It advances simulated time and waits on
 conditions by ``yield``-ing:
 
-* a ``float``/``int`` — sleep that many simulated seconds;
+* a ``float``/``int`` (not a ``bool``) — sleep that many simulated seconds;
 * a :class:`~repro.sim.events.SimEvent` — suspend until it triggers; the
   expression evaluates to the event's value;
 * another :class:`Process` — join it; evaluates to its return value.
@@ -77,7 +77,7 @@ class Process:
 
         if isinstance(target, SimEvent):
             target.on_trigger(self._resume_from_event)
-        elif isinstance(target, (float, int)):
+        elif isinstance(target, (float, int)) and not isinstance(target, bool):
             if target < 0:
                 self._fail(SimulationError(f"process {self.name!r} yielded negative delay {target!r}"))
                 return

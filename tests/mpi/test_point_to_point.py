@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster import Machine, PerSocketPlacement, small_test_config
-from repro.errors import MPIError, ProcessFailure
+from repro.errors import ConfigurationError, MPIError, ProcessFailure
 from repro.mpi import ANY_SOURCE, ANY_TAG, MPIWorld
+from repro.mpi.communicator import Comm
 from repro.units import KB, US
 
 
@@ -227,3 +228,22 @@ def test_intra_node_faster_than_inter_node(machine):
     job = world.launch(workload)
     machine.sim.run_until_event(job.done)
     assert times["intra"] < times["inter"]
+
+
+def test_point_to_point_argument_checks(world):
+    comm = Comm(world, 0)
+    for bad in (-1, comm.size, 99):
+        with pytest.raises(MPIError, match="out of range"):
+            comm.isend(bad, 1 * KB)
+    for bad in (-2, comm.size, 99):  # -1 is ANY_SOURCE
+        with pytest.raises(MPIError, match="out of range"):
+            comm.irecv(bad)
+    with pytest.raises(MPIError, match="itself"):
+        comm.isend(0, 1 * KB)
+    with pytest.raises(MPIError, match="itself"):
+        comm.irecv(0)
+    with pytest.raises(MPIError, match="tag"):
+        comm.isend(1, 1 * KB, tag=-1)
+    for peer in (1, 2):  # shared-memory and fabric paths
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            comm.isend(peer, -1)

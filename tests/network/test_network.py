@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import NetworkConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.network import (
     DeterministicService,
     FatTreeTopology,
@@ -92,6 +92,45 @@ def test_negative_size_rejected():
     net = _net(sim)
     with pytest.raises(ConfigurationError):
         net.send(0, 1, -1, on_delivered=lambda: None)
+
+
+def test_delivery_of_unknown_message_is_a_simulation_error():
+    # The reassembly table lost track of a message: an invariant of the
+    # simulation broke, not a configuration mistake.
+    sim = Simulator()
+    net = _net(sim)
+    net.send(0, 1, 1 * KB, on_delivered=lambda: None)
+    net._pending.clear()
+    with pytest.raises(SimulationError, match="unknown message"):
+        sim.run()
+
+
+def test_route_is_resolved_once_per_flow():
+    sim = Simulator()
+    net = _net(sim)
+    calls = []
+    route_flow = net.topology.route_flow
+
+    def counting_route_flow(*args):
+        calls.append(args)
+        return route_flow(*args)
+
+    net.topology.route_flow = counting_route_flow
+    for _ in range(3):
+        net.send(0, 1, 1 * KB, on_delivered=lambda: None, flow="a")
+    net.send(0, 1, 1 * KB, on_delivered=lambda: None, flow="b")
+    sim.run()
+    assert calls == [(0, 1, "a"), (0, 1, "b")]
+
+
+def test_on_delivered_receives_delivered_args():
+    sim = Simulator()
+    net = _net(sim)
+    got = []
+    net.send(0, 1, 1 * KB, on_delivered=got.append, delivered_args=("fabric",))
+    net.send(2, 2, 1 * KB, on_delivered=got.append, delivered_args=("local",))
+    sim.run()
+    assert sorted(got) == ["fabric", "local"]
 
 
 def test_concurrent_senders_contend_for_fabric():

@@ -160,6 +160,20 @@ def test_yielding_garbage_raises():
         sim.run()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_yielding_bool_raises_not_sleeps(flag):
+    # bool is an int subclass; `yield True` must not mean "sleep 1 s".
+    sim = Simulator()
+
+    def bad():
+        yield flag
+
+    sim.spawn(bad(), "bad")
+    with pytest.raises(SimulationError, match="unsupported bool"):
+        sim.run()
+    assert sim.now == 0.0
+
+
 def test_negative_delay_from_process_raises():
     sim = Simulator()
 
