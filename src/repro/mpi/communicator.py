@@ -103,8 +103,9 @@ class Comm:
                 dst_node,
                 src_node,
                 RENDEZVOUS_CONTROL_BYTES,
-                on_delivered=lambda: stream_data(recv_request),
+                on_delivered=stream_data,
                 flow=(world.name, envelope.dst),
+                delivered_args=(recv_request,),
             )
 
         def stream_data(recv_request: Request) -> None:
@@ -112,9 +113,10 @@ class Comm:
                 src_node,
                 dst_node,
                 envelope.nbytes,
-                on_delivered=lambda: recv_request._fulfill_recv(envelope),
-                on_sent=lambda: send_request.event.succeed(),
+                on_delivered=recv_request._fulfill_recv,
+                on_sent=send_request.event.succeed,
                 flow=flow,
+                delivered_args=(envelope,),
             )
 
         envelope.on_match = on_match
@@ -123,8 +125,9 @@ class Comm:
             src_node,
             dst_node,
             RENDEZVOUS_CONTROL_BYTES,
-            on_delivered=lambda: engine.deliver(envelope),
+            on_delivered=engine.deliver,
             flow=flow,
+            delivered_args=(envelope,),
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:

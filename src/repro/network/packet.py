@@ -99,7 +99,8 @@ def packetize(
 ) -> List[Packet]:
     """Split a message into MTU-sized packets (final packet takes the rest)."""
     if 0 <= nbytes <= mtu and mtu > 0:
-        # One packet (the common case).
+        # One packet, the common case: no packet_count call and no
+        # comprehension frame.
         return [Packet(message_id, 0, True, nbytes, src_node, dst_node, flow)]
     last = packet_count(nbytes, mtu) - 1  # validates; >= 1 from here on
     packets = [
