@@ -14,20 +14,24 @@ from repro.cluster import ExplicitPlacement, Machine, PerSocketPlacement
 from repro.config import MachineConfig, NodeConfig
 from repro.core.measurement import LatencyCollector
 from repro.mpi import MPIWorld
-from repro.network import FatTreeTopology
-from repro.network.graph import bisection_width, oversubscription_ratio
+from repro.network import LeafSpineTopology
 from repro.units import MS, US
 from repro.workloads import CompressionB, CompressionConfig, ImpactB
 
 
 def main() -> None:
-    topology = FatTreeTopology(leaf_count=2, nodes_per_leaf=9, root_count=2)
+    topology = LeafSpineTopology(leaf_count=2, nodes_per_leaf=9, spine_count=2)
     config = MachineConfig(node_count=18, node=NodeConfig(), seed=11)
     machine = Machine(config, topology)
 
+    # Same-leaf pairs have one route through their leaf; cross-leaf pairs
+    # have one equal-cost route per spine, which ECMP spreads flows over.
+    local = topology.equal_cost_routes(0, 1)
+    remote = topology.equal_cost_routes(0, topology.nodes_per_leaf)
     print(f"fat tree: {topology.leaf_count} leaves x {topology.nodes_per_leaf} nodes")
-    print(f"  bisection width  : {bisection_width(topology)} links")
-    print(f"  oversubscription : {oversubscription_ratio(topology):.1f}:1")
+    print(f"  routes within a leaf : {len(local)} ({len(local[0])} switch hop)")
+    print(f"  routes across leaves : {len(remote)} ({len(remote[0])} switch hops each)")
+    print(f"  oversubscription     : {topology.nodes_per_leaf / topology.spine_count:.1f}:1")
 
     # Probe everywhere: pairs form between node positions (0,1), (2,3), ...
     # so every pair's traffic stays on its own leaf.

@@ -11,11 +11,13 @@ Reproducing the paper end to end needs ~330 simulation runs:
 
 Every run is a pure function of ``(settings, machine_config, workload)``, so
 the campaign decomposes into picklable :class:`ExperimentDescriptor` s that
-:meth:`ReproductionPipeline.ensure_all` fans out through
-:func:`repro.parallel.run_tasks` in two dependency stages (measurements
-after calibration, then degradations/co-runs after baselines), under a
-retry/timeout policy that turns permanent failures into structured
-:class:`~repro.errors.FailureRecord` holes instead of a dead campaign.
+:class:`CampaignSession` fans out through :func:`repro.parallel.run_tasks`
+in three dependency stages (the calibration, then the measurements, then
+degradations/co-runs after their baselines), under a retry/timeout policy
+that turns permanent failures into structured
+:class:`~repro.errors.FailureRecord` holes instead of a dead campaign.  The
+exhaustive :meth:`ReproductionPipeline.ensure_all` and every round of a
+planned campaign run through that one executor.
 
 Products are memoized in memory and, when a cache directory is given, in a
 :class:`~repro.core.experiments.cache.ShardedCache` — one atomic JSON shard
@@ -44,7 +46,7 @@ from ...engine.base import (
 )
 from ...errors import CampaignError, ExperimentError, FailureRecord
 from ...faults import active_fault_plan, current_attempt
-from ...parallel import RetryPolicy, default_worker_count, run_tasks
+from ...parallel import RetryPolicy, RunReport, default_worker_count, run_tasks
 from ...queueing import ServiceEstimate
 from ...telemetry.live import LIVE_REPORT_NAME, LiveReporter
 from ...telemetry.report import TELEMETRY_REPORT_NAME, build_report, write_report
@@ -57,6 +59,7 @@ from .compression import CompressionObservation
 from .impact import ImpactResult
 
 __all__ = [
+    "CampaignSession",
     "PipelineSettings",
     "ReproductionPipeline",
     "ExperimentDescriptor",
@@ -204,43 +207,282 @@ def run_experiment(descriptor: ExperimentDescriptor) -> object:
     return value
 
 
-class _CampaignProgress:
-    """Completed/total, elapsed, ETA, and live-file reporting for one campaign.
+#: Dependency stage of each product kind, listed in campaign order: the
+#: calibration runs alone, the measurements after it, and the dependents
+#: after their baselines.
+_STAGE_OF = {
+    "calibration": "calibration",
+    "impact": "measurements",
+    "comp_sig": "measurements",
+    "baseline": "measurements",
+    "degradation": "dependents",
+    "pair": "dependents",
+}
+_STAGES = ("calibration", "measurements", "dependents")
 
-    Human-facing progress goes to stderr; with a :class:`LiveReporter`
-    attached, every advance also feeds the throttled atomic rewrite of
-    ``telemetry.live.json`` that ``repro top`` tails.
+
+def _prerequisite(raw: str) -> Optional[str]:
+    """The raw key a product's descriptor is built from, if any.
+
+    Impacts and CompressionB signatures need the idle calibration; an
+    application's degradations and co-runs need its isolated baseline.
+    """
+    kind, _, rest = raw.partition("/")
+    if kind in ("impact", "comp_sig"):
+        return "calibration"
+    if kind in ("degradation", "pair"):
+        return "baseline/" + rest.split("/")[0]
+    return None
+
+
+class CampaignSession:
+    """One campaign: the staged executor, its accounting and its finish step.
+
+    :meth:`ReproductionPipeline.ensure_all` runs every product through one
+    :meth:`execute` call; a planned campaign runs each round through the
+    same session.  The session owns what a campaign accumulates — failure
+    and transient records, budget-skipped keys, per-stage wall/CPU phases,
+    progress and ETA — and, with telemetry on and a cache directory, the
+    :class:`LiveReporter` behind ``telemetry.live.json``.
+
+    Use it as a context manager (see :meth:`ReproductionPipeline.campaign`):
+    leaving the block runs :meth:`finish` on every exit path.
     """
 
     def __init__(
-        self, total: int, verbose: bool, reporter: Optional[LiveReporter] = None
+        self,
+        pipeline: "ReproductionPipeline",
+        workers: int,
+        chunksize: int,
+        failure_budget: int,
     ) -> None:
-        self.total = total
+        self.pipeline = pipeline
+        self.workers = workers
+        self.chunksize = chunksize
+        self.failure_budget = failure_budget
+        self.verbose = pipeline.verbose
+        self.telemetry_on = (
+            pipeline.telemetry if pipeline.telemetry is not None else telemetry.enabled()
+        )
+        if self.telemetry_on:
+            telemetry.enable()
+        directory = pipeline._cache.directory
+        # The live document only makes sense with telemetry on and a real
+        # cache directory to sit next to; a dark campaign pays nothing.
+        self.reporter = (
+            LiveReporter(directory / LIVE_REPORT_NAME)
+            if self.telemetry_on and directory is not None
+            else None
+        )
+        self.failures: List[FailureRecord] = []
+        self.transients: List[FailureRecord] = []
+        self.skipped: List[str] = []
+        self.phases: Dict[str, Dict[str, float]] = {}
+        self.failure_report: Optional[Path] = None
+        self.telemetry_report: Optional[Path] = None
+        self.total = 0
         self.done = 0
         self.start = time.time()
-        self.verbose = verbose
-        self.reporter = reporter
         self.stage = "pending"
-        self.failed = 0
-        self.retried = 0
-        self.stages: List[Dict[str, object]] = []
+        self._stages: Dict[str, Dict[str, object]] = {}
         self._stage_done0 = 0
         self._stage_start = self.start
+        self._stage_base = (0, 0.0)
 
+    def __enter__(self) -> "CampaignSession":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # A campaign already dying of another exception still leaves its
+        # reports and final frame, but is not re-raised as a budget error.
+        self.finish(enforce_budget=exc_type is None)
+
+    # ------------------------------------------------------------------
+    # The staged executor
+    # ------------------------------------------------------------------
+    def execute(
+        self,
+        raw_keys: Sequence[str],
+        costs: Optional[Sequence[float]] = None,
+        budget: Optional[float] = None,
+    ) -> Dict[str, object]:
+        """Run (or load) ``raw_keys`` in the three dependency stages.
+
+        Already-cached keys are loaded and cost nothing.  The rest run
+        stage by stage — calibration, measurements, dependents — each
+        stage in the order the keys were given.  A key whose prerequisite
+        (:func:`_prerequisite`) is not in the cache when its stage starts
+        is never attempted; by the prerequisite's outcome it is
+
+        * skipped, uncharged, if the prerequisite was budget-skipped;
+        * an ``unsupported`` hole if the prerequisite was a model refusal;
+        * a ``dependency`` hole otherwise (failed, or never requested).
+
+        Budget semantics (estimated experiment-seconds): admission is
+        decided up front per stage from ``costs`` in key order, so it is
+        deterministic whatever the worker count; keys that do not fit are
+        skipped; a deterministic model refusal refunds its cost to the
+        following stages.
+
+        Args:
+            raw_keys: unqualified product keys (see
+                :meth:`ReproductionPipeline.descriptor_for`); duplicates
+                collapse, first occurrence wins.
+            costs: estimated cost per entry of ``raw_keys`` (default: all
+                zero, i.e. unbudgeted).
+            budget: admission ceiling over ``costs`` for this call.
+
+        Returns:
+            This call's stats: requested/cached/executed/failed/unsupported
+            counts, skipped (qualified) keys, ``budget_spent``,
+            ``budget_refunded`` and elapsed seconds.
+        """
+        if costs is not None and len(costs) != len(raw_keys):
+            raise ExperimentError(
+                f"costs/raw_keys length mismatch: {len(costs)} != {len(raw_keys)}"
+            )
+        pipeline = self.pipeline
+        cost_of: Dict[str, float] = {}
+        for index, raw in enumerate(raw_keys):
+            cost_of.setdefault(raw, float(costs[index]) if costs is not None else 0.0)
+        start = time.time()
+        pending = [raw for raw in cost_of if not pipeline.has_product(raw)]
+        for _ in range(len(cost_of) - len(pending)):
+            pipeline._note_cache_hit()
+        self.total += len(pending)
+        first_failure, first_skip = len(self.failures), len(self.skipped)
+        spent = refunded = 0.0
+        for stage in _STAGES:
+            runnable: List[str] = []
+            for raw in pending:
+                if _STAGE_OF[raw.split("/")[0]] != stage:
+                    continue
+                prerequisite = _prerequisite(raw)
+                if prerequisite is None or pipeline.has_product(prerequisite):
+                    runnable.append(raw)
+                else:
+                    self._cascade(raw, prerequisite)
+            report = self._run_stage(
+                stage,
+                [pipeline.descriptor_for(raw) for raw in runnable],
+                [cost_of[raw] for raw in runnable],
+                budget,
+            )
+            spent += report.budget_spent
+            refunded += report.budget_refunded
+            if budget is not None:
+                budget = max(0.0, budget - report.budget_spent)
+        failures = self.failures[first_failure:]
+        skipped = self.skipped[first_skip:]
+        return {
+            "requested": len(cost_of),
+            "cached": len(cost_of) - len(pending),
+            "executed": len(pending) - len(failures) - len(skipped),
+            "failed": len(failures),
+            "unsupported": sum(1 for r in failures if r.category == "unsupported"),
+            "skipped": skipped,
+            "budget_spent": spent,
+            "budget_refunded": refunded,
+            "elapsed": time.time() - start,
+        }
+
+    def _cascade(self, raw: str, prerequisite: str) -> None:
+        """Account for a product whose prerequisite is not in the cache."""
+        key = self.pipeline._key(raw)
+        upstream = self.pipeline._key(prerequisite)
+        if upstream in self.skipped:
+            self.skipped.append(key)
+            self.total -= 1
+            return
+        # A refusal's dependents are missing because of a documented model
+        # limit, not infrastructure flakiness: they inherit ``unsupported``
+        # and so stay exempt from the failure budget too.
+        refused = any(
+            record.key == upstream and record.category == "unsupported"
+            for record in self.failures
+        )
+        cause = "model refusal" if refused else "failed"
+        self.failures.append(
+            FailureRecord(
+                key=key,
+                category="unsupported" if refused else "dependency",
+                message=f"{prerequisite} unavailable ({cause} upstream)",
+                attempts=0,
+                kind=raw.split("/")[0],
+            )
+        )
+
+    def _run_stage(
+        self,
+        name: str,
+        descriptors: List[ExperimentDescriptor],
+        costs: List[float],
+        budget: Optional[float],
+    ) -> RunReport:
+        """Run one dependency stage under a span, tracking wall/CPU time."""
+        pipeline = self.pipeline
+        by_key = {descriptor.key: descriptor for descriptor in descriptors}
+
+        def land(_index: int, key: str, value: object) -> None:
+            pipeline._cache.put(key, value)
+            self.advance(key)
+
+        self.begin_stage(name, len(descriptors))
+        wall0, cpu0 = time.time(), time.process_time()
+        with telemetry.span(f"stage:{name}", "pipeline", engine=pipeline.settings.engine):
+            report = run_tasks(
+                run_experiment,
+                descriptors,
+                keys=list(by_key),
+                # Everything depends on the calibration: it runs alone.
+                workers=1 if name == "calibration" else self.workers,
+                chunksize=self.chunksize,
+                policy=pipeline.retry,
+                on_result=land,
+                costs=costs,
+                budget=budget,
+            )
+        phase = self.phases.setdefault(name, {"wall": 0.0, "cpu": 0.0})
+        phase["wall"] += time.time() - wall0
+        phase["cpu"] += time.process_time() - cpu0
+        for records, target, verb in (
+            (report.failures, self.failures, "FAILED"),
+            (report.transients, self.transients, "retrying"),
+        ):
+            for record in records:
+                record.kind = by_key[record.key].kind
+                target.append(record)
+                if self.verbose:
+                    print(f"[pipeline] {verb} {record.describe()}", flush=True, file=sys.stderr)
+        self.skipped.extend(report.skipped)
+        self.total -= len(report.skipped)
+        self.end_stage()
+        return report
+
+    # ------------------------------------------------------------------
+    # Progress, ETA and the live frame
+    # ------------------------------------------------------------------
     def begin_stage(self, name: str, total: int) -> None:
         self.stage = name
         self._stage_done0 = self.done
         self._stage_start = time.time()
-        self.stages.append({"stage": name, "total": total, "done": 0, "elapsed": 0.0})
+        # A planned campaign re-enters each stage once per round: the live
+        # view keeps one accumulating row per stage.
+        entry = self._stages.setdefault(
+            name, {"stage": name, "total": 0, "done": 0, "elapsed": 0.0}
+        )
+        entry["total"] += total  # type: ignore[operator]
+        self._stage_base = (entry["done"], entry["elapsed"])
         self.publish(force=True)
 
-    def end_stage(self, failed: int, retried: int) -> None:
-        self.failed = failed
-        self.retried = retried
-        if self.stages:
-            entry = self.stages[-1]
-            entry["done"] = self.done - self._stage_done0
-            entry["elapsed"] = time.time() - self._stage_start
+    def _touch_stage(self) -> None:
+        entry = self._stages[self.stage]
+        done0, elapsed0 = self._stage_base
+        entry["done"] = done0 + self.done - self._stage_done0
+        entry["elapsed"] = elapsed0 + time.time() - self._stage_start
+
+    def end_stage(self) -> None:
+        self._touch_stage()
         self.publish(force=True)
 
     def eta(self) -> Optional[float]:
@@ -272,9 +514,9 @@ class _CampaignProgress:
             "total": self.total,
             "elapsed": elapsed,
             "eta": self.eta(),
-            "failed": self.failed,
-            "retried": self.retried,
-            "stages": [dict(entry) for entry in self.stages],
+            "failed": len(self.failures),
+            "retried": len(self.transients),
+            "stages": [dict(entry) for entry in self._stages.values()],
         }
 
     def publish(self, *, force: bool = False, complete: bool = False) -> None:
@@ -289,9 +531,7 @@ class _CampaignProgress:
 
     def advance(self, key: str) -> None:
         self.done += 1
-        if self.stages:
-            self.stages[-1]["done"] = self.done - self._stage_done0
-            self.stages[-1]["elapsed"] = time.time() - self._stage_start
+        self._touch_stage()
         self.publish()
         if not self.verbose:
             return
@@ -306,6 +546,113 @@ class _CampaignProgress:
             flush=True,
             file=sys.stderr,
         )
+
+    # ------------------------------------------------------------------
+    # The finish step
+    # ------------------------------------------------------------------
+    def finish(self, enforce_budget: bool = True) -> None:
+        """Write the reports, publish the final frame, enforce the budget.
+
+        ``failure_report.json`` (and, with telemetry on,
+        ``telemetry.json``) land next to the shards, and the live document
+        gets its ``complete`` frame, before the failure budget decides.
+        ``unsupported`` records are deterministic model refusals (and their
+        cascades) — documented holes, not flakiness — so only the other
+        categories are charged against the budget.
+
+        Raises:
+            CampaignError: charged failures exceed the failure budget.
+        """
+        self.failure_report = self._write_failure_report()
+        self.telemetry_report = self._write_telemetry_report()
+        # Final live frame — marked complete so `repro top` knows to stop.
+        self.publish(force=True, complete=True)
+        if not enforce_budget:
+            return
+        budgeted = [record for record in self.failures if record.category != "unsupported"]
+        if len(budgeted) > self.failure_budget:
+            raise CampaignError(
+                f"{len(budgeted)} experiment(s) failed permanently, exceeding "
+                f"the failure budget of {self.failure_budget}: "
+                + "; ".join(record.describe() for record in budgeted),
+                self.failures,
+            )
+        if self.verbose and self.total:
+            unsupported = len(self.failures) - len(budgeted)
+            holes = f", {len(self.failures)} hole(s)" if self.failures else ""
+            if unsupported:
+                holes += f" ({unsupported} unsupported by this engine)"
+            print(
+                f"[pipeline] campaign complete: {self.done} experiment(s)"
+                f"{holes} in {time.time() - self.start:.1f}s "
+                f"with {self.workers} worker(s)",
+                flush=True,
+                file=sys.stderr,
+            )
+
+    def _write_failure_report(self) -> Optional[Path]:
+        """Persist the campaign's failure accounting next to the shards.
+
+        Written on every campaign (an empty report overwrites stale ones) so
+        automation can always read the latest campaign's health from one
+        well-known file.  Memory-only caches skip the write.
+        """
+        cache = self.pipeline._cache
+        if cache.directory is None:
+            return None
+        settings = self.pipeline.settings
+        document = {
+            "engine": settings.engine,
+            "profile": settings.profile,
+            "started_at": self.start,
+            "elapsed": time.time() - self.start,
+            "workers": self.workers,
+            "failure_count": len(self.failures),
+            "failures": [record.to_dict() for record in self.failures],
+            "transient_count": len(self.transients),
+            "transients": [record.to_dict() for record in self.transients],
+            "quarantined_shards": [str(shard) for shard in cache.quarantined],
+        }
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        path = cache.directory / FAILURE_REPORT_NAME
+        path.write_text(json.dumps(document, indent=2) + "\n")
+        return path
+
+    def _write_telemetry_report(self) -> Optional[Path]:
+        """Write ``telemetry.json`` next to the shards (telemetry-on only).
+
+        Records the enclosing ``campaign`` span first so the trace always
+        has its root, then snapshots the merged driver+worker telemetry.
+        Memory-only caches skip the write, like the failure report.
+        """
+        directory = self.pipeline._cache.directory
+        if not self.telemetry_on or directory is None:
+            return None
+        settings = self.pipeline.settings
+        elapsed = time.time() - self.start
+        telemetry.tracer().record(
+            "campaign",
+            self.start,
+            elapsed,
+            category="pipeline",
+            args={"engine": settings.engine, "profile": settings.profile},
+        )
+        snap = telemetry.snapshot()
+        document = build_report(
+            snap["metrics"],
+            snap["spans"],
+            phases=self.phases,
+            campaign={
+                "engine": settings.engine,
+                "profile": settings.profile,
+                "workers": self.workers,
+                "elapsed": elapsed,
+                "failed": len(self.failures),
+                "retried": len(self.transients),
+            },
+        )
+        directory.mkdir(parents=True, exist_ok=True)
+        return write_report(directory / TELEMETRY_REPORT_NAME, document)
 
 
 class ReproductionPipeline:
@@ -326,17 +673,17 @@ class ReproductionPipeline:
         legacy_cache: optional legacy monolithic JSON cache migrated into
             the shard directory on load (ignored when ``cache_path`` itself
             is a legacy file).
-        workers: default process count for :meth:`ensure_all`
+        workers: default process count for campaigns
             (``None`` → all usable cores but one).
         chunksize: default descriptors per pool task submission.
         retry: per-task retry/timeout/backoff policy for campaign execution
             (``None`` → :class:`~repro.parallel.RetryPolicy`'s defaults:
             two attempts, no timeout).
-        failure_budget: how many products :meth:`ensure_all` may leave as
-            holes before raising :class:`~repro.errors.CampaignError`
+        failure_budget: how many products a campaign may leave as holes
+            before raising :class:`~repro.errors.CampaignError`
             (0 = any permanent failure raises, preserving the historical
             all-or-nothing behavior).
-        telemetry: collect metrics/spans during :meth:`ensure_all` and write
+        telemetry: collect metrics/spans during campaigns and write
             ``telemetry.json`` next to the shards.  ``None`` (default)
             follows the process-wide switch (:func:`repro.telemetry.enabled`,
             i.e. the ``REPRO_TELEMETRY`` environment variable or an earlier
@@ -751,6 +1098,27 @@ class ReproductionPipeline:
     # ------------------------------------------------------------------
     # Campaign execution
     # ------------------------------------------------------------------
+    def campaign(
+        self,
+        workers: Optional[int] = None,
+        chunksize: Optional[int] = None,
+        failure_budget: Optional[int] = None,
+    ) -> CampaignSession:
+        """Open a :class:`CampaignSession` on this pipeline.
+
+        ``None`` arguments take the pipeline's defaults (``workers=None``
+        on the pipeline too → all usable cores but one).
+        """
+        count = workers if workers is not None else self.workers
+        return CampaignSession(
+            self,
+            workers=count if count is not None else default_worker_count(),
+            chunksize=chunksize if chunksize is not None else self.chunksize,
+            failure_budget=(
+                failure_budget if failure_budget is not None else self.failure_budget
+            ),
+        )
+
     def ensure_all(
         self,
         workers: Optional[int] = None,
@@ -759,22 +1127,24 @@ class ReproductionPipeline:
     ) -> Dict[str, object]:
         """Run (or load) every product of the full evaluation, fault-tolerantly.
 
-        Pending products fan out through a process pool in two dependency
-        stages: measurements (impacts, signatures, baselines) after the
-        calibration, then degradations and co-runs after the baselines.
-        Results land as they complete, each flushing its shard atomically,
-        so interrupting the campaign never loses completed work.
+        One :class:`CampaignSession` executes every product key, unbudgeted.
+        Pending products fan out through a process pool in three dependency
+        stages: the calibration, then the measurements (impacts, signatures,
+        baselines), then the degradations and co-runs.  Results land as they
+        complete, each flushing its shard atomically, so interrupting the
+        campaign never loses completed work.
 
         Each task runs under the pipeline's :class:`~repro.parallel.RetryPolicy`
         — bounded retries with backoff, an optional per-task timeout that
         kills hung workers, and automatic pool respawn after a worker crash.
         A task that exhausts its attempts becomes a hole plus a structured
         :class:`~repro.errors.FailureRecord`; products depending on a failed
-        input (degradations and pairs of a failed baseline) are skipped with
-        a ``dependency`` record rather than attempted.  The campaign finishes
-        with holes as long as the number of permanent failures stays within
-        the failure budget, and writes a machine-readable
-        ``failure_report.json`` next to the shards either way.
+        input (impacts and signatures of a failed calibration, degradations
+        and pairs of a failed baseline) are skipped with a ``dependency``
+        record rather than attempted.  The campaign finishes with holes as
+        long as the number of permanent failures stays within the failure
+        budget, and writes a machine-readable ``failure_report.json`` next
+        to the shards either way.
 
         Deterministic model refusals — an engine raising
         :class:`~repro.errors.AnalyticModelError` because a workload drives
@@ -799,508 +1169,26 @@ class ReproductionPipeline:
             ``telemetry.json`` written next to the shards.
 
         Raises:
-            CampaignError: the calibration failed permanently (everything
-                depends on it), or permanent failures exceeded the budget.
+            CampaignError: permanent failures exceeded the budget.
         """
-        count = workers if workers is not None else self.workers
-        if count is None:
-            count = default_worker_count()
-        chunk = chunksize if chunksize is not None else self.chunksize
-        budget = failure_budget if failure_budget is not None else self.failure_budget
-        telemetry_on = self.telemetry if self.telemetry is not None else telemetry.enabled()
-        if telemetry_on:
-            telemetry.enable()
-
-        start = time.time()
-        pending = set(self.pending_keys())
-        # The live document only makes sense with telemetry on and a real
-        # cache directory to sit next to; a dark campaign pays nothing.
-        reporter = (
-            LiveReporter(self._cache.directory / LIVE_REPORT_NAME)
-            if telemetry_on and self._cache.directory is not None
-            else None
+        kinds = list(_STAGE_OF)
+        keys = sorted(
+            self.raw_product_keys(), key=lambda raw: kinds.index(raw.split("/")[0])
         )
-        progress = _CampaignProgress(len(pending), self.verbose, reporter=reporter)
-        failures: List[FailureRecord] = []
-        transients: List[FailureRecord] = []
-        phases: Dict[str, Dict[str, float]] = {}
-
-        def staged(name: str, total: int, run: Callable[[], object]) -> object:
-            """Run one dependency stage under a span, tracking wall/CPU."""
-            progress.begin_stage(name, total)
-            wall0, cpu0 = time.time(), time.process_time()
-            with telemetry.span(f"stage:{name}", "pipeline", engine=self.settings.engine):
-                result = run()
-            phases[name] = {
-                "wall": time.time() - wall0,
-                "cpu": time.process_time() - cpu0,
-            }
-            progress.end_stage(len(failures), len(transients))
-            return result
-
-        if self._key("calibration") in pending:
-            calibration = self._calibration_descriptor()
-            report = staged(
-                "calibration",
-                1,
-                lambda: self._run_stage(
-                    [calibration], 1, 1, progress, failures, transients
-                ),
-            )
-            if report is not None and report.failures:
-                self._write_failure_report(failures, transients, start, count)
-                self._write_telemetry_report(
-                    telemetry_on, phases, self._campaign_meta(count, start, failures, transients), start
-                )
-                progress.publish(force=True, complete=True)
-                raise CampaignError(
-                    "calibration failed permanently — no experiment can run "
-                    "without it: " + failures[-1].describe(),
-                    failures,
-                )
-
-        stage_one = [
-            self._impact_descriptor(name)
-            for name in [None, *self.app_names]
-            if self._key(f"impact/{name}" if name else "impact/idle") in pending
-        ]
-        stage_one.extend(
-            self._comp_sig_descriptor(config)
-            for config in self.catalog
-            if self._key(f"comp_sig/{config.label}") in pending
-        )
-        stage_one.extend(
-            self._baseline_descriptor(name)
-            for name in self.app_names
-            if self._key(f"baseline/{name}") in pending
-        )
-        staged(
-            "measurements",
-            len(stage_one),
-            lambda: self._run_stage(stage_one, count, chunk, progress, failures, transients),
-        )
-
-        # Stage two only builds descriptors whose baseline actually landed;
-        # dependents of a failed baseline become dependency records, not runs
-        # (or ``unsupported`` records when the baseline was a model refusal).
-        refused = {
-            record.key for record in failures if record.category == "unsupported"
-        }
-        stage_two: List[ExperimentDescriptor] = []
-        for name in self.app_names:
-            baseline_key = self._key(f"baseline/{name}")
-            has_baseline = baseline_key in self._cache
-            for config in self.catalog:
-                key = self._key(f"degradation/{name}/{config.label}")
-                if key not in pending:
-                    continue
-                if has_baseline:
-                    stage_two.append(self._degradation_descriptor(name, config))
-                else:
-                    failures.append(
-                        self._dependency_record(
-                            key, "degradation", name, unsupported=baseline_key in refused
-                        )
-                    )
-        for measured in self.app_names:
-            baseline_key = self._key(f"baseline/{measured}")
-            has_baseline = baseline_key in self._cache
-            for other in self.app_names:
-                key = self._key(f"pair/{measured}/{other}")
-                if key not in pending:
-                    continue
-                if has_baseline:
-                    stage_two.append(self._pair_descriptor(measured, other))
-                else:
-                    failures.append(
-                        self._dependency_record(
-                            key, "pair", measured, unsupported=baseline_key in refused
-                        )
-                    )
-        staged(
-            "dependents",
-            len(stage_two),
-            lambda: self._run_stage(stage_two, count, chunk, progress, failures, transients),
-        )
-
-        elapsed = time.time() - start
-        report_path = self._write_failure_report(failures, transients, start, count)
-        telemetry_path = self._write_telemetry_report(
-            telemetry_on, phases, self._campaign_meta(count, start, failures, transients), start
-        )
-        # Final live frame — marked complete so `repro top` knows to stop.
-        progress.publish(force=True, complete=True)
-        # ``unsupported`` records are deterministic model refusals (and their
-        # cascades) — documented holes, not flakiness — so only the other
-        # categories are charged against the failure budget.
-        budgeted = [record for record in failures if record.category != "unsupported"]
-        unsupported = len(failures) - len(budgeted)
-        if len(budgeted) > budget:
-            raise CampaignError(
-                f"{len(budgeted)} experiment(s) failed permanently, exceeding "
-                f"the failure budget of {budget}: "
-                + "; ".join(record.describe() for record in budgeted),
-                failures,
-            )
-        if self.verbose and pending:
-            holes = f", {len(failures)} hole(s)" if failures else ""
-            if unsupported:
-                holes += f" ({unsupported} unsupported by this engine)"
-            print(
-                f"[pipeline] campaign complete: {len(pending) - len(failures)} "
-                f"experiment(s){holes} in {elapsed:.1f}s with {count} worker(s)",
-                flush=True,
-                file=sys.stderr,
-            )
+        with self.campaign(workers, chunksize, failure_budget) as session:
+            stats = session.execute(keys)
         return {
-            "total": len(self.product_keys()),
-            "executed": len(pending) - len(failures),
-            "cached": len(self.product_keys()) - len(pending),
-            "failed": len(failures),
-            "unsupported": unsupported,
-            "retried": len(transients),
-            "elapsed": elapsed,
-            "workers": count,
-            "failure_records": [record.to_dict() for record in failures],
-            "failure_report": str(report_path) if report_path else None,
-            "telemetry_report": str(telemetry_path) if telemetry_path else None,
+            "total": stats["requested"],
+            "executed": stats["executed"],
+            "cached": stats["cached"],
+            "failed": stats["failed"],
+            "unsupported": stats["unsupported"],
+            "retried": len(session.transients),
+            "elapsed": stats["elapsed"],
+            "workers": session.workers,
+            "failure_records": [record.to_dict() for record in session.failures],
+            "failure_report": str(session.failure_report) if session.failure_report else None,
+            "telemetry_report": (
+                str(session.telemetry_report) if session.telemetry_report else None
+            ),
         }
-
-    def ensure_products(
-        self,
-        raw_keys: Sequence[str],
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        costs: Optional[Sequence[float]] = None,
-        budget: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Run (or load) an explicit subset of products — the planner seam.
-
-        The adaptive planner's counterpart to :meth:`ensure_all`: instead
-        of the full evaluation, exactly the requested raw keys are
-        produced, in the same two dependency stages (calibration first,
-        then impacts/signatures/baselines, then degradations/pairs), with
-        the same fault-tolerant runner, sharded cache, and ``unsupported``
-        semantics.
-
-        Budget semantics (estimated experiment-seconds):
-
-        * already-cached products cost *zero* — they are loaded, never
-          charged, so a resumed planned campaign spends its budget only on
-          new measurements;
-        * admission is decided up front per stage from the estimates
-          (deterministic in key order, whatever the worker count); keys
-          that don't fit land in ``skipped``;
-        * a deterministic model refusal (``unsupported``) refunds its
-          cost: a refusal is knowledge about the model's domain, not a
-          spent experiment, and the refund is available to the *next*
-          stage (and the planner's next round);
-        * dependents whose baseline is missing after stage one become
-          ``dependency``/``unsupported`` holes without being charged.
-
-        Args:
-            raw_keys: unqualified product keys (see :meth:`descriptor_for`);
-                duplicates are collapsed, first occurrence wins.
-            workers / chunksize: as :meth:`ensure_all`.
-            costs: estimated cost per entry of ``raw_keys`` (default: all
-                zero, i.e. unbudgeted).
-            budget: admission ceiling over ``costs`` for this call.
-
-        Returns:
-            Stats: requested/cached/executed/failed/unsupported counts,
-            skipped (qualified) keys, ``budget_spent``/``budget_refunded``,
-            retries, elapsed seconds, and the failure records as dicts.
-        """
-        count = workers if workers is not None else self.workers
-        if count is None:
-            count = default_worker_count()
-        chunk = chunksize if chunksize is not None else self.chunksize
-        if costs is not None and len(costs) != len(raw_keys):
-            raise ExperimentError(
-                f"costs/raw_keys length mismatch: {len(costs)} != {len(raw_keys)}"
-            )
-
-        cost_of: Dict[str, float] = {}
-        ordered: List[str] = []
-        for index, raw in enumerate(raw_keys):
-            if raw in cost_of:
-                continue
-            cost_of[raw] = float(costs[index]) if costs is not None else 0.0
-            ordered.append(raw)
-
-        start = time.time()
-        cached = [raw for raw in ordered if self.has_product(raw)]
-        for _ in cached:
-            self._note_cache_hit()
-        pending = [raw for raw in ordered if not self.has_product(raw)]
-        stage_one_kinds = ("calibration", "impact", "comp_sig", "baseline")
-        stage_one = [r for r in pending if r.split("/")[0] in stage_one_kinds]
-        stage_two = [r for r in pending if r.split("/")[0] not in stage_one_kinds]
-        # Calibration gates everything: pull it to the front of stage one so
-        # the impact/comp_sig descriptor builders find it in the cache
-        # rather than computing it serially behind the budget's back.
-        stage_one.sort(key=lambda raw: raw != "calibration")
-
-        progress = _CampaignProgress(len(pending), self.verbose)
-        failures: List[FailureRecord] = []
-        transients: List[FailureRecord] = []
-        skipped: List[str] = []
-        budget_spent = 0.0
-        budget_refunded = 0.0
-        remaining = budget
-
-        def run_round(name: str, raws: List[str], stage_workers: int) -> None:
-            nonlocal budget_spent, budget_refunded, remaining
-            if not raws:
-                return
-            descriptors = [self.descriptor_for(raw) for raw in raws]
-            stage_costs = [cost_of[raw] for raw in raws]
-            progress.begin_stage(name, len(descriptors))
-            with telemetry.span(
-                f"subset:{name}", "pipeline", engine=self.settings.engine
-            ):
-                report = self._run_stage(
-                    descriptors,
-                    stage_workers,
-                    chunk,
-                    progress,
-                    failures,
-                    transients,
-                    costs=stage_costs,
-                    budget=remaining,
-                )
-            progress.end_stage(len(failures), len(transients))
-            if report is not None:
-                skipped.extend(report.skipped)
-                budget_spent += report.budget_spent
-                budget_refunded += report.budget_refunded
-                if remaining is not None:
-                    remaining = max(0.0, remaining - report.budget_spent)
-
-        # Calibration runs alone (single worker, everything depends on it)
-        # when requested and uncached; the rest of stage one fans out.
-        calibration_attempted = bool(stage_one) and stage_one[0] == "calibration"
-        if calibration_attempted:
-            run_round("calibration", [stage_one.pop(0)], 1)
-        if calibration_attempted and not self.has_product("calibration"):
-            # Calibration was asked for and didn't land: impacts/signatures
-            # can't build their descriptors without serially recomputing it
-            # behind the budget's back.  A budget-skipped calibration skips
-            # its dependents (uncharged); a failed one holes them.
-            cal_skipped = self._key("calibration") in skipped
-            cal_refused = any(
-                record.category == "unsupported" for record in failures
-            )
-            survivors = []
-            for raw in stage_one:
-                if raw.split("/")[0] not in ("impact", "comp_sig"):
-                    survivors.append(raw)
-                elif cal_skipped:
-                    skipped.append(self._key(raw))
-                else:
-                    failures.append(
-                        FailureRecord(
-                            key=self._key(raw),
-                            category="unsupported" if cal_refused else "dependency",
-                            message="calibration unavailable (failed upstream)",
-                            attempts=0,
-                            kind=raw.split("/")[0],
-                        )
-                    )
-            stage_one = survivors
-        run_round("measurements", stage_one, count)
-
-        # Stage two only builds descriptors whose baseline actually landed,
-        # mirroring ensure_all's dependency-hole semantics.
-        refused = {
-            record.key for record in failures if record.category == "unsupported"
-        }
-        runnable: List[str] = []
-        for raw in stage_two:
-            parts = raw.split("/")
-            app = parts[1]
-            baseline_key = self._key(f"baseline/{app}")
-            if baseline_key in self._cache:
-                runnable.append(raw)
-            elif baseline_key in skipped:
-                skipped.append(self._key(raw))
-            else:
-                failures.append(
-                    self._dependency_record(
-                        self._key(raw),
-                        parts[0],
-                        app,
-                        unsupported=baseline_key in refused,
-                    )
-                )
-        run_round("dependents", runnable, count)
-
-        elapsed = time.time() - start
-        unsupported = sum(
-            1 for record in failures if record.category == "unsupported"
-        )
-        executed = len(pending) - len(failures) - len(skipped)
-        if telemetry.enabled():
-            registry = telemetry.registry()
-            registry.counter_inc("pipeline.subset_requested", float(len(ordered)))
-            registry.counter_inc("pipeline.subset_executed", float(max(executed, 0)))
-        return {
-            "requested": len(ordered),
-            "cached": len(cached),
-            "executed": executed,
-            "failed": len(failures),
-            "unsupported": unsupported,
-            "retried": len(transients),
-            "skipped": list(skipped),
-            "budget_spent": budget_spent,
-            "budget_refunded": budget_refunded,
-            "elapsed": elapsed,
-            "failure_records": [record.to_dict() for record in failures],
-        }
-
-    def _campaign_meta(
-        self,
-        workers: int,
-        start: float,
-        failures: List[FailureRecord],
-        transients: List[FailureRecord],
-    ) -> Dict[str, object]:
-        return {
-            "engine": self.settings.engine,
-            "profile": self.settings.profile,
-            "workers": workers,
-            "elapsed": time.time() - start,
-            "failed": len(failures),
-            "retried": len(transients),
-        }
-
-    def _write_telemetry_report(
-        self,
-        active: bool,
-        phases: Dict[str, Dict[str, float]],
-        campaign: Dict[str, object],
-        start: float,
-    ) -> Optional[Path]:
-        """Write ``telemetry.json`` next to the shards (telemetry-on only).
-
-        Records the enclosing ``campaign`` span first so the trace always
-        has its root, then snapshots the merged driver+worker telemetry.
-        Memory-only caches skip the write, like the failure report.
-        """
-        if not active or self._cache.directory is None:
-            return None
-        telemetry.tracer().record(
-            "campaign",
-            start,
-            time.time() - start,
-            category="pipeline",
-            args={"engine": self.settings.engine, "profile": self.settings.profile},
-        )
-        snap = telemetry.snapshot()
-        document = build_report(
-            snap["metrics"], snap["spans"], phases=phases, campaign=campaign
-        )
-        self._cache.directory.mkdir(parents=True, exist_ok=True)
-        return write_report(self._cache.directory / TELEMETRY_REPORT_NAME, document)
-
-    def _dependency_record(
-        self, key: str, kind: str, app: str, unsupported: bool = False
-    ) -> FailureRecord:
-        """A never-attempted hole whose input product failed upstream.
-
-        When the upstream failure was a model refusal (``unsupported``), the
-        cascade inherits that category — the dependent is missing because of
-        a documented model limit, not infrastructure flakiness, so it must
-        not count against the failure budget either.
-        """
-        if unsupported:
-            return FailureRecord(
-                key=key,
-                category="unsupported",
-                message=f"baseline/{app} unavailable (model refusal upstream)",
-                attempts=0,
-                kind=kind,
-            )
-        return FailureRecord(
-            key=key,
-            category="dependency",
-            message=f"baseline/{app} unavailable (failed upstream)",
-            attempts=0,
-            kind=kind,
-        )
-
-    def _run_stage(
-        self,
-        descriptors: List[ExperimentDescriptor],
-        workers: int,
-        chunksize: int,
-        progress: _CampaignProgress,
-        failures: List[FailureRecord],
-        transients: List[FailureRecord],
-        costs: Optional[Sequence[float]] = None,
-        budget: Optional[float] = None,
-    ):
-        if not descriptors:
-            return None
-        by_key = {descriptor.key: descriptor for descriptor in descriptors}
-
-        def land(_index: int, key: str, value: object) -> None:
-            self._cache.put(key, value)
-            progress.advance(key)
-
-        report = run_tasks(
-            run_experiment,
-            descriptors,
-            keys=[descriptor.key for descriptor in descriptors],
-            workers=workers,
-            chunksize=chunksize,
-            policy=self.retry,
-            on_result=land,
-            costs=costs,
-            budget=budget,
-        )
-        for record in report.failures:
-            record.kind = by_key[record.key].kind
-            failures.append(record)
-            if self.verbose:
-                print(f"[pipeline] FAILED {record.describe()}", flush=True, file=sys.stderr)
-        for record in report.transients:
-            record.kind = by_key[record.key].kind
-            transients.append(record)
-            if self.verbose:
-                print(f"[pipeline] retrying {record.describe()}", flush=True, file=sys.stderr)
-        return report
-
-    def _write_failure_report(
-        self,
-        failures: List[FailureRecord],
-        transients: List[FailureRecord],
-        start: float,
-        workers: int,
-    ) -> Optional[Path]:
-        """Persist the campaign's failure accounting next to the shards.
-
-        Written on every campaign (an empty report overwrites stale ones) so
-        automation can always read the latest campaign's health from one
-        well-known file.  Memory-only caches skip the write.
-        """
-        if self._cache.directory is None:
-            return None
-        path = self._cache.directory / FAILURE_REPORT_NAME
-        document = {
-            "engine": self.settings.engine,
-            "profile": self.settings.profile,
-            "started_at": start,
-            "elapsed": time.time() - start,
-            "workers": workers,
-            "failure_count": len(failures),
-            "failures": [record.to_dict() for record in failures],
-            "transient_count": len(transients),
-            "transients": [record.to_dict() for record in transients],
-            "quarantined_shards": [
-                str(shard) for shard in self._cache.quarantined
-            ],
-        }
-        self._cache.directory.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, indent=2) + "\n")
-        return path

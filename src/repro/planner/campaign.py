@@ -12,9 +12,10 @@ with rounds of *plan → measure → refit*:
    utilization plus the first holdout pairs.
 2. **Adaptive rounds** — the strategy proposes the next degradation rows
    from the refitted curves; a fresh slice of the seeded pair-holdout
-   schedule rides along; :meth:`~ReproductionPipeline.ensure_products`
-   executes the subset under the remaining measurement budget with the
-   campaign's fault-tolerant runner and cache.
+   schedule rides along; the campaign's one
+   :class:`~repro.core.experiments.pipeline.CampaignSession` executes the
+   subset under the remaining measurement budget with the same staged,
+   fault-tolerant executor and cache as the exhaustive campaign.
 3. **Stop** — when the Queue model's mean holdout prediction error has
    stabilized for ``patience`` consecutive rounds, the budget is
    exhausted, the strategy has nothing left to propose, or ``max_rounds``
@@ -38,12 +39,7 @@ from ..analysis.degradation import LinearFit, fit_degradation_trend
 from ..core.experiments.compression import CompressionObservation
 from ..core.experiments.impact import ImpactResult
 from ..core.models import PredictionEngine, default_models
-from ..errors import (
-    CampaignError,
-    ConfigurationError,
-    ExperimentError,
-    FailureRecord,
-)
+from ..errors import ConfigurationError, ExperimentError
 from .base import PlanContext, Planner
 from .costs import CostModel
 from .strategies import holdout_schedule
@@ -137,7 +133,7 @@ class PlannedCampaign:
         stability_tol: |Δ holdout error| (percentage points) under which a
             round counts as stable.
         patience: consecutive stable rounds required to stop.
-        workers / chunksize: forwarded to ``ensure_products``.
+        workers / chunksize: forwarded to the campaign session.
         cost_model: override the settings-derived cost estimates (e.g. one
             calibrated from a previous campaign's ``telemetry.json``).
         failure_budget: non-``unsupported`` permanent failures tolerated
@@ -200,7 +196,6 @@ class PlannedCampaign:
             tuple(pipeline.app_names), self.seed
         )
         self._schedule_pos = 0
-        self._failure_records: List[dict] = []
         self._refused: set[str] = set()
         self._holdout_pairs: List[Tuple[str, str]] = []
 
@@ -377,20 +372,17 @@ class PlannedCampaign:
         return keys
 
     def _run_subset(
-        self, keys: List[str], remaining: Optional[float]
+        self, session, keys: List[str], remaining: Optional[float]
     ) -> Dict[str, object]:
-        stats = self.pipeline.ensure_products(
-            keys,
-            workers=self.workers,
-            chunksize=self.chunksize,
-            costs=self.cost_model.costs_for(keys),
-            budget=remaining,
+        stats = session.execute(
+            keys, costs=self.cost_model.costs_for(keys), budget=remaining
         )
-        for record in stats["failure_records"]:
-            self._failure_records.append(record)
-            if record["category"] == "unsupported":
-                # Qualified key → raw key: qualifiers are ":"-joined prefixes.
-                self._refused.add(record["key"].rsplit(":", 1)[-1])
+        # Qualified key → raw key: qualifiers are ":"-joined prefixes.
+        self._refused = {
+            record.key.rsplit(":", 1)[-1]
+            for record in session.failures
+            if record.category == "unsupported"
+        }
         return stats
 
     def _round_entry(
@@ -456,9 +448,14 @@ class PlannedCampaign:
     def run(self) -> PlanResult:
         """Execute the planned campaign; returns its :class:`PlanResult`.
 
+        Every round runs through one campaign session, so a planned
+        campaign writes the same ``failure_report.json``, ``telemetry.json``
+        and live frames as ``ensure_all``.
+
         Raises:
             CampaignError: non-``unsupported`` permanent failures exceeded
-                the failure budget (mirroring ``ensure_all``).
+                the failure budget (the session's finish step, as in
+                ``ensure_all``).
         """
         result = PlanResult(
             planner=self.planner.name,
@@ -467,6 +464,15 @@ class PlannedCampaign:
             cost_model=self.cost_model.to_dict(),
             total_products=len(self.pipeline.product_keys()),
         )
+        with self.pipeline.campaign(
+            self.workers, self.chunksize, self.failure_budget
+        ) as session:
+            self._rounds(session, result)
+            result.failure_records = [record.to_dict() for record in session.failures]
+        return result
+
+    def _rounds(self, session, result: PlanResult) -> None:
+        """The bootstrap and the adaptive rounds, all in ``session``."""
         remaining = self.budget
 
         def spend(stats: Dict[str, object]) -> Optional[float]:
@@ -482,7 +488,7 @@ class PlannedCampaign:
                 f"comp_sig/{config.label}" for config in self.pipeline.catalog
             ]
             sweep += [f"baseline/{name}" for name in self.pipeline.app_names]
-            stats = self._run_subset(sweep, remaining)
+            stats = self._run_subset(session, sweep, remaining)
             self._accumulate(result, stats)
             remaining = spend(stats)
 
@@ -492,7 +498,7 @@ class PlannedCampaign:
             for label in seed_labels:
                 seed_keys.extend(context.degradation_keys(label))
             seed_keys.extend(self._next_holdout())
-            seed_stats = self._run_subset(seed_keys, remaining)
+            seed_stats = self._run_subset(session, seed_keys, remaining)
             self._accumulate(result, seed_stats)
             remaining = spend(seed_stats)
 
@@ -547,7 +553,7 @@ class PlannedCampaign:
                 strategy=self.planner.name,
                 selected=len(keys),
             ):
-                stats = self._run_subset(keys, remaining)
+                stats = self._run_subset(session, keys, remaining)
             self._accumulate(result, stats)
             remaining = spend(stats)
 
@@ -580,18 +586,3 @@ class PlannedCampaign:
             if stable >= self.patience:
                 result.stop_reason = "stabilized"
                 break
-
-        result.failure_records = list(self._failure_records)
-        budgeted = [
-            record
-            for record in self._failure_records
-            if record["category"] != "unsupported"
-        ]
-        if len(budgeted) > self.failure_budget:
-            raise CampaignError(
-                f"{len(budgeted)} experiment(s) failed permanently during the "
-                f"planned campaign, exceeding the failure budget of "
-                f"{self.failure_budget}",
-                [FailureRecord.from_dict(record) for record in budgeted],
-            )
-        return result

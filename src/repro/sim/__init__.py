@@ -5,7 +5,7 @@ processes are Python generators that yield delays, events, or other processes.
 See :mod:`repro.sim.kernel` for the execution model.
 """
 
-from .events import AllOf, AnyOf, SimEvent
+from .events import AllOf, SimEvent
 from .kernel import ScheduledCall, Simulator
 from .primitives import Resource, Store
 from .process import Process
@@ -16,7 +16,6 @@ __all__ = [
     "ScheduledCall",
     "SimEvent",
     "AllOf",
-    "AnyOf",
     "Process",
     "Resource",
     "Store",

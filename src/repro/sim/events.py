@@ -15,7 +15,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
 
-__all__ = ["SimEvent", "AllOf", "AnyOf"]
+__all__ = ["SimEvent", "AllOf"]
 
 #: A waiter: called as ``callback(event)`` at the trigger instant.  An
 #: event's callback list may also hold :class:`AllOf` parents, which count
@@ -128,27 +128,3 @@ class AllOf(SimEvent):
         if not self._triggered:
             self.succeed([child.value for child in self._children])
 
-
-class AnyOf(SimEvent):
-    """Composite event that fires as soon as **any** child event fires.
-
-    Its value is the ``(index, value)`` pair of the first child to fire
-    (ties broken by schedule order, deterministically).
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[SimEvent], name: str = "") -> None:
-        super().__init__(sim, name or "any_of")
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf requires at least one child event")
-        for index, child in enumerate(self._children):
-            child.on_trigger(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callback:
-        def _child_done(event: SimEvent) -> None:
-            if not self.triggered:
-                self.succeed((index, event.value))
-
-        return _child_done

@@ -19,7 +19,7 @@ import math
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, SimEvent
+from .events import AllOf, SimEvent
 
 __all__ = ["Simulator", "ScheduledCall"]
 
@@ -228,10 +228,6 @@ class Simulator:
     def all_of(self, events: List[SimEvent], name: str = "") -> AllOf:
         """Event firing when all ``events`` have fired."""
         return AllOf(self, events, name)
-
-    def any_of(self, events: List[SimEvent], name: str = "") -> AnyOf:
-        """Event firing when the first of ``events`` fires."""
-        return AnyOf(self, events, name)
 
     def spawn(self, generator: Generator[Any, Any, Any], name: str = "") -> "Process":
         """Start a coroutine process; see :class:`repro.sim.process.Process`."""

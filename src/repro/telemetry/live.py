@@ -1,7 +1,7 @@
 """Live campaign watch: the ``telemetry.live.json`` file and its renderer.
 
 ``telemetry.json`` only materializes after a campaign exits; this module
-gives a campaign a pulse while it runs.  The pipeline's ``ensure_all``
+gives a campaign a pulse while it runs.  The pipeline's campaign session
 holds a :class:`LiveReporter` and calls :meth:`LiveReporter.publish` on
 every landed task; the reporter throttles to one atomic rewrite of
 ``telemetry.live.json`` per ``interval`` seconds (tempfile + ``os.replace``,

@@ -1,7 +1,8 @@
 """The campaign telemetry report: build, persist, load, render.
 
-``ensure_all`` writes one ``telemetry.json`` next to ``failure_report.json``
-after every telemetry-enabled campaign: the merged metrics snapshot (driver
+A campaign session (``ensure_all`` or a planned campaign) writes one
+``telemetry.json`` next to ``failure_report.json`` after every
+telemetry-enabled campaign: the merged metrics snapshot (driver
 plus all workers), the span records and their per-name summary, wall/CPU
 per dependency phase, and any workload-level state profiles that were
 collected.  The ``repro telemetry`` CLI subcommand renders the document as

@@ -3,14 +3,14 @@
 Regression for the ISSUE 10 satellite bug: the ETA was computed from the
 cumulative campaign rate, so after a fast measurement stage the slow
 pairwise stage inherited measurement-speed promises.  These tests drive
-:class:`_CampaignProgress` with a fake clock and check that a stage
+:class:`CampaignSession`'s progress with a fake clock and check that a stage
 boundary resets the estimator.
 """
 
 import pytest
 
 import repro.core.experiments.pipeline as pipeline_mod
-from repro.core.experiments.pipeline import _CampaignProgress
+from repro.core.experiments.pipeline import PipelineSettings, ReproductionPipeline
 
 
 class FakeClock:
@@ -32,7 +32,12 @@ def clock(monkeypatch):
 
 
 def _progress(total):
-    return _CampaignProgress(total, verbose=False)
+    pipeline = ReproductionPipeline(
+        PipelineSettings(profile="quick"), applications={}, catalog=[]
+    )
+    session = pipeline.campaign(workers=1)
+    session.total = total
+    return session
 
 
 def test_no_estimate_before_any_completion(clock):
@@ -50,7 +55,7 @@ def test_eta_uses_stage_local_rate_after_stage_boundary(clock):
     for _ in range(8):
         clock.tick(1.0)
         progress.done += 1
-    progress.end_stage(failed=0, retried=0)
+    progress.end_stage()
 
     # Slow stage: first pairwise product takes 30 s.  The cumulative rate
     # (~4.75 s/product) would promise ~4.75 s for the last product; the
@@ -69,7 +74,7 @@ def test_eta_falls_back_to_global_rate_before_first_stage_completion(clock):
     for _ in range(8):
         clock.tick(1.0)
         progress.done += 1
-    progress.end_stage(failed=0, retried=0)
+    progress.end_stage()
 
     progress.begin_stage("pairwise", 2)
     clock.tick(4.0)
@@ -83,7 +88,7 @@ def test_eta_tracks_the_slow_stage_as_it_progresses(clock):
     for _ in range(2):
         clock.tick(0.5)
         progress.done += 1
-    progress.end_stage(failed=0, retried=0)
+    progress.end_stage()
 
     progress.begin_stage("pairwise", 2)
     clock.tick(10.0)

@@ -204,7 +204,7 @@ def test_cli_registry_usage_errors_are_friendly(tmp_path, capsys):
     assert "unknown version" in capsys.readouterr().err
 
 
-def test_cli_serve_unpromoted_registry_is_friendly(tmp_path, capsys):
+def test_cli_serve_unpromoted_registry_is_friendly(tmp_path, capsys, _clean_telemetry):
     code = main(
         ["serve", "--registry", str(tmp_path / "empty"), "--port", "0"]
     )
